@@ -10,6 +10,7 @@ which controls the dependency-graph degree of the derived LLL instances
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from typing import List, Sequence, Tuple
 
 from repro.errors import ReproError
@@ -66,6 +67,9 @@ def random_triples(
     seen = set()
     triples: List[Triple] = []
     attempts = 0
+    # The nodes with remaining capacity, in increasing order; a node
+    # leaves when it fills up (``rng.sample`` reads the list's order).
+    available = list(range(num_nodes)) if max_per_node > 0 else []
     while len(triples) < num_triples:
         attempts += 1
         if attempts > 1000 * num_triples:
@@ -73,7 +77,6 @@ def random_triples(
                 f"could not place {num_triples} triples under the "
                 f"max_per_node={max_per_node} constraint"
             )
-        available = [node for node in range(num_nodes) if usage[node] < max_per_node]
         if len(available) < 3:
             raise ReproError(
                 "fewer than 3 nodes have remaining capacity; lower "
@@ -86,6 +89,8 @@ def random_triples(
         triples.append(triple)
         for node in triple:
             usage[node] += 1
+            if usage[node] == max_per_node:
+                del available[bisect_left(available, node)]
     return triples
 
 

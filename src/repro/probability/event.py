@@ -41,7 +41,7 @@ from typing import (
     Tuple,
 )
 
-from repro.artifacts.fingerprint import event_artifact_key
+from repro.artifacts.fingerprint import kernel_shape_key
 from repro.artifacts.store import (
     LRUCache,
     STORE as _ARTIFACTS,
@@ -87,14 +87,17 @@ class BadEvent:
     predicate:
         ``predicate(values)`` receives a dict mapping each scope variable's
         name to a value and returns ``True`` iff the *bad* event occurs
-        under that outcome.
+        under that outcome.  Tabulated events (:meth:`from_bad_outcomes`,
+        :meth:`all_equal`) keep no predicate: they evaluate through their
+        bad-outcomes hint.
     enumeration_limit:
         Safety cap on exact enumeration size (see
         :class:`repro.errors.EnumerationLimitError`).
     cache_limit:
         Cap on memoised conditional probabilities; the least recently
         used entry is evicted once the cap is reached.  ``0`` disables
-        caching.
+        caching.  The cache is created by the first probability query,
+        so an event the solve never queries directly costs no cache.
     """
 
     __slots__ = (
@@ -107,14 +110,13 @@ class BadEvent:
         "_cache_limit",
         "_kernel",
         "_bad_outcomes_hint",
-        "_artifact_key",
     )
 
     def __init__(
         self,
         name: Hashable,
         variables: Sequence[DiscreteVariable],
-        predicate: Callable[[Mapping[Hashable, Hashable]], bool],
+        predicate: Optional[Callable[[Mapping[Hashable, Hashable]], bool]],
         enumeration_limit: int = DEFAULT_ENUMERATION_LIMIT,
         cache_limit: int = DEFAULT_CACHE_LIMIT,
     ) -> None:
@@ -128,12 +130,9 @@ class BadEvent:
         self._predicate = predicate
         self._enumeration_limit = int(enumeration_limit)
         self._cache_limit = int(cache_limit)
-        self._cache = LRUCache(self._cache_limit)
+        self._cache: Optional[LRUCache] = None
         self._kernel = _UNCOMPILED
         self._bad_outcomes_hint: Optional[FrozenSet[Tuple[Hashable, ...]]] = None
-        # Memoised structural digest (repro.artifacts.fingerprint); the
-        # event is immutable once its hint is set, so it never goes stale.
-        self._artifact_key: Optional[bytes] = None
 
     # ------------------------------------------------------------------
     # Accessors
@@ -170,6 +169,13 @@ class BadEvent:
         """
         return self._bad_outcomes_hint
 
+    def _holds(self, values: Mapping[Hashable, Hashable]) -> bool:
+        """The predicate on a full scope outcome (name -> value)."""
+        hint = self._bad_outcomes_hint
+        if hint is not None:
+            return tuple(values[name] for name in self._scope_names) in hint
+        return bool(self._predicate(values))
+
     # ------------------------------------------------------------------
     # Kernel management
     # ------------------------------------------------------------------
@@ -196,18 +202,14 @@ class BadEvent:
             size *= variable.num_values
             if size > limit:
                 return None
-        # Cross-instance reuse: an event whose semantics are tabulated
-        # (bad-outcomes hint) is content-addressable, and a same-shape
-        # instance solved earlier already paid for this exact kernel.
-        # Keys include the event *name*, so reuse is across instances,
-        # never within one (within-instance dedup already happens at
-        # the KernelStack layer, and keeping compile counts per event
-        # keeps them deterministic for the perf gate).
-        artifact_key = (
-            event_artifact_key(self) if artifacts_enabled() else None
-        )
-        if artifact_key is not None:
-            kernel = _ARTIFACTS.get("kernels", artifact_key)
+        # Shape sharing: a tabulated event's kernel is a pure function of
+        # its per-position supports and its hint, and stores no names, so
+        # every event of one shape -- in this instance or any earlier
+        # one -- shares a single kernel.  With the plane off each event
+        # compiles its own (the differential oracle).
+        shape_key = kernel_shape_key(self) if artifacts_enabled() else None
+        if shape_key is not None:
+            kernel = _ARTIFACTS.get("kernels", shape_key)
             if kernel is not None:
                 _engine.STATS.kernel_reuses += 1
                 return kernel
@@ -231,8 +233,8 @@ class BadEvent:
                 outcomes=kernel.num_outcomes,
                 bad_outcomes=kernel.num_bad,
             )
-        if artifact_key is not None:
-            _ARTIFACTS.put("kernels", artifact_key, kernel)
+        if shape_key is not None:
+            _ARTIFACTS.put("kernels", shape_key, kernel)
         return kernel
 
     @property
@@ -309,7 +311,7 @@ class BadEvent:
         values = {
             name: assignment.value_of(name) for name in self._scope_names
         }
-        return bool(self._predicate(values))
+        return self._holds(values)
 
     def probability(self, assignment: Optional[PartialAssignment] = None) -> float:
         """Exact ``Pr[event | assignment]``.
@@ -321,7 +323,10 @@ class BadEvent:
         if assignment is None:
             assignment = _EMPTY_ASSIGNMENT
         key = assignment.restriction_key(self._scope_names)
-        cached = self._cache.get(key)
+        cache = self._cache
+        if cache is None:
+            cache = self._cache = LRUCache(self._cache_limit)
+        cached = cache.get(key)
         if cached is not None:
             _engine.STATS.cache_hits += 1
             return cached
@@ -383,7 +388,7 @@ class BadEvent:
     ) -> float:
         """Sum the probability mass of outcomes where the predicate holds."""
         if not free:
-            return 1.0 if self._predicate(fixed_values) else 0.0
+            return 1.0 if self._holds(fixed_values) else 0.0
         supports = [tuple(variable.support_items()) for variable in free]
         names = [variable.name for variable in free]
         terms = []
@@ -393,7 +398,7 @@ class BadEvent:
             for name, (value, prob) in zip(names, combo):
                 values[name] = value
                 mass *= prob
-            if self._predicate(values):
+            if self._holds(values):
                 terms.append(mass)
         return checked_mass_sum(terms, f"event {self._name!r}")
 
@@ -489,7 +494,12 @@ class BadEvent:
         """
         kernel = self._acquire_kernel()
         if kernel is not None:
-            return kernel.bad_value_tuples()
+            # Labels come from this event's own supports: a shared
+            # kernel's were read from whichever same-shape event
+            # compiled it, and may differ in type (0 vs 0.0 vs False).
+            return kernel.bad_value_tuples(
+                tuple(variable.values for variable in self._variables)
+            )
         cap = self._enumeration_limit if limit is None else int(limit)
         outcome_count = 1
         for variable in self._variables:
@@ -507,7 +517,7 @@ class BadEvent:
         ):
             for name, value in zip(self._scope_names, combo):
                 values[name] = value
-            if self._predicate(values):
+            if self._holds(values):
                 outcomes.append(combo)
         return outcomes
 
@@ -517,21 +527,26 @@ class BadEvent:
     def _cache_store(
         self, key: Tuple[Tuple[Hashable, Hashable], ...], value: float
     ) -> None:
+        # Only reached after ``probability`` created the cache.
         if self._cache.put(key, value) is not None:
             _engine.STATS.cache_evictions += 1
 
     def clear_cache(self) -> None:
         """Drop all memoised conditional probabilities."""
-        self._cache.clear()
+        if self._cache is not None:
+            self._cache.clear()
 
     @property
     def cache_size(self) -> int:
         """Number of memoised conditional probabilities."""
-        return len(self._cache)
+        return 0 if self._cache is None else len(self._cache)
 
     def cache_info(self) -> Dict[str, int]:
         """Hit/miss/eviction counts and current size/limit of the cache."""
         cache = self._cache
+        if cache is None:
+            return {"hits": 0, "misses": 0, "evictions": 0, "size": 0,
+                    "limit": self._cache_limit}
         return {
             "hits": cache.hits,
             "misses": cache.misses,
@@ -554,18 +569,15 @@ class BadEvent:
         """Build an event from an explicit list of bad outcome tuples.
 
         Each tuple lists one value per scope variable, aligned with
-        ``variables``.  The outcome set doubles as a precomputed truth
-        table: the compiled engine builds the kernel directly from it,
-        without re-enumerating the scope product.
+        ``variables``.  The outcome set is the event's whole semantics:
+        it is evaluated by membership (no predicate closure), and the
+        compiled engine builds the kernel directly from it, without
+        re-enumerating the scope product.
         """
-        order = tuple(v.name for v in variables)
-        bad = frozenset(tuple(outcome) for outcome in bad_outcomes)
-
-        def predicate(values: Mapping[Hashable, Hashable]) -> bool:
-            return tuple(values[n] for n in order) in bad
-
-        event = cls(name, variables, predicate, enumeration_limit)
-        event._bad_outcomes_hint = bad
+        event = cls(name, variables, None, enumeration_limit)
+        event._bad_outcomes_hint = frozenset(
+            tuple(outcome) for outcome in bad_outcomes
+        )
         return event
 
     @classmethod
@@ -579,20 +591,21 @@ class BadEvent:
         """The event "every scope variable equals ``target``".
 
         This is the shape of sinkless-orientation-style events: a node is
-        bad iff every incident edge variable points at it.
+        bad iff every incident edge variable points at it.  The one-row
+        hint is interned per ``(target, arity)``, so all such events
+        share it.  A target outside some variable's support keeps that
+        row: no in-support outcome matches it (the kernel drops it), and
+        a raw out-of-support assignment equal to the target still
+        evaluates as bad.
         """
-        order = tuple(v.name for v in variables)
-
-        def predicate(values: Mapping[Hashable, Hashable]) -> bool:
-            return all(values[n] == target for n in order)
-
-        event = cls(name, variables, predicate, enumeration_limit)
-        if all(target in variable for variable in variables):
-            event._bad_outcomes_hint = frozenset(
-                {tuple(target for _ in variables)}
+        event = cls(name, variables, None, enumeration_limit)
+        key = (type(target), target, len(event._variables))
+        hint = _ALL_EQUAL_HINTS.get(key)
+        if hint is None:
+            hint = _ALL_EQUAL_HINTS[key] = frozenset(
+                {(target,) * len(event._variables)}
             )
-        else:
-            event._bad_outcomes_hint = frozenset()
+        event._bad_outcomes_hint = hint
         return event
 
     def __repr__(self) -> str:
@@ -600,3 +613,8 @@ class BadEvent:
 
 
 _EMPTY_ASSIGNMENT = PartialAssignment()
+
+#: Interned :meth:`BadEvent.all_equal` hints, keyed on
+#: ``(type(target), target, arity)``; the type keeps ``0``, ``0.0`` and
+#: ``False`` (equal and equal-hashing) from sharing one hint.
+_ALL_EQUAL_HINTS: Dict[Tuple[type, Hashable, int], FrozenSet[Tuple[Hashable, ...]]] = {}

@@ -1,5 +1,7 @@
 """Unit tests for the workload generators."""
 
+from hashlib import blake2b
+
 import networkx as nx
 import pytest
 
@@ -105,6 +107,22 @@ class TestTripleGenerators:
     def test_random_triples_infeasible(self):
         with pytest.raises(ReproError):
             random_triples(3, num_triples=2, max_per_node=1, seed=0)
+
+    @pytest.mark.parametrize(
+        "args, digest",
+        [
+            ((9, 6, 2, 0), "ccd237efe763ff8a"),
+            ((30, 20, 3, 1), "c9a77fef63c8f415"),
+            ((200, 180, 3, 5), "2a7ed1ae19da6bd2"),
+            ((2000, 1500, 3, 11), "ea7ed443bbab30ac"),
+        ],
+    )
+    def test_random_triples_output_is_pinned(self, args, digest):
+        # Digests of the output of the original generator, which rebuilt
+        # the list of nodes with spare capacity before every draw: the
+        # incremental list must feed ``rng.sample`` the same population.
+        triples = random_triples(*args)
+        assert blake2b(repr(triples).encode(), digest_size=8).hexdigest() == digest
 
     def test_cyclic_triples(self):
         triples = cyclic_triples(7)
