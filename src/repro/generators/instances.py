@@ -96,6 +96,15 @@ def _require_no_isolated_nodes(graph: nx.Graph) -> None:
         )
 
 
+def _shared_distribution(
+    probabilities: Optional[Sequence[float]],
+) -> Optional[Tuple[float, ...]]:
+    """One float tuple for all of an instance's variables, or ``None``."""
+    if probabilities is None:
+        return None
+    return tuple(map(float, probabilities))
+
+
 def all_zero_edge_instance(
     graph: nx.Graph,
     alphabet_size: int,
@@ -120,6 +129,7 @@ def all_zero_edge_instance(
         raise ReproError("alphabet_size must be at least 2")
     _require_no_isolated_nodes(graph)
     values = tuple(range(alphabet_size))
+    probabilities = _shared_distribution(probabilities)
     variables = {}
     for u, v in graph.edges():
         name = edge_variable_name(u, v)
@@ -158,6 +168,7 @@ def threshold_count_edge_instance(
         raise ReproError("min_zeros must be at least 1")
     _require_no_isolated_nodes(graph)
     values = tuple(range(alphabet_size))
+    probabilities = _shared_distribution(probabilities)
     variables = {}
     for u, v in graph.edges():
         name = edge_variable_name(u, v)
@@ -228,6 +239,7 @@ def all_zero_triple_instance(
     if alphabet_size < 2:
         raise ReproError("alphabet_size must be at least 2")
     values = tuple(range(alphabet_size))
+    probabilities = _shared_distribution(probabilities)
     variables = {}
     incident: List[List[DiscreteVariable]] = [[] for _ in range(num_nodes)]
     for triple in triples:

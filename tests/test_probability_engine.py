@@ -278,10 +278,12 @@ class TestEventKernel:
         assert not kernel.occurs((0, 0))
 
     def test_from_outcomes_drops_unknown_values(self):
+        variables = self._variables()
         kernel = EventKernel.from_outcomes(
-            self._variables(), [(2, 1), (9, 0), (0, 1, 1)]
+            variables, [(2, 1), (9, 0), (0, 1, 1)]
         )
-        assert kernel.bad_value_tuples() == [(2, 1)]
+        supports = [variable.values for variable in variables]
+        assert kernel.bad_value_tuples(supports) == [(2, 1)]
 
     def test_probability_conditions_on_pins(self):
         kernel = EventKernel.compile(
